@@ -266,10 +266,8 @@ class _ShardSource:
         specs = self._specs
         take = self.pool.take
         requests: list[Request] = []
-        for t, a, k in zip(times, arrivals, indices):
-            req = take(specs[k], t)
-            req.arrival_ms = a
-            requests.append(req)
+        for a, k in zip(arrivals, indices):
+            requests.append(take(specs[k], a))
         return times, requests
 
     def __iter__(self) -> Iterator[tuple[float, Request]]:
@@ -580,43 +578,89 @@ class FleetOrchestrator:
             heaps[node_class[i]].append((0.0, i))
         for h in heaps:
             heapq.heapify(h)
+        # Per model: (class heap, local ext) for every eligible class
+        # that has nodes — the only state the per-request loop reads.
+        candidates = [
+            tuple(
+                (heaps[ci], local_ext[m][ci])
+                for ci in eligible_classes[m]
+                if heaps[ci]
+            )
+            for m in range(len(self.models))
+        ]
 
-        per_node_enqueue: list[list[float]] = [[] for _ in range(n_nodes)]
-        per_node_arrival: list[list[float]] = [[] for _ in range(n_nodes)]
-        per_node_model: list[list[int]] = [[] for _ in range(n_nodes)]
-        transfer_hops = 0
-        transfer_ms = 0.0
-
+        # The per-request loop makes only the placement decision; every
+        # per-request consequence (enqueue time, hop count, grouping) is
+        # computed below with numpy over the whole trace. The generator
+        # yields exactly ``n_requests`` arrivals, so the deal columns are
+        # preallocated and filled chunk by chunk.
+        n_total = scenario.n_requests
+        arrival = np.empty(n_total, dtype=np.float64)
+        model_idx = np.empty(n_total, dtype=np.int64)
+        node = np.empty(n_total, dtype=np.int64)
+        pos = 0
+        heapreplace = heapq.heapreplace
+        unset: list[tuple[float, int]] = []
         gen = WorkloadGenerator(self.models, seed=self.seed)
         for t_chunk, idx_chunk in gen.iter_arrival_chunks(scenario, _CHUNK):
-            for t, m in zip(t_chunk.tolist(), idx_chunk.tolist()):
-                best_ci = -1
-                best_proj = float("inf")
+            chosen: list[int] = []
+            record = chosen.append
+            for m in idx_chunk.tolist():
+                best_heap = unset
+                best_proj = math.inf
                 best_idx = -1
-                for ci in eligible_classes[m]:
-                    h = heaps[ci]
-                    if not h:
-                        continue
+                for h, ext in candidates[m]:
                     load, idx = h[0]
-                    proj = load + local_ext[m][ci]
+                    proj = load + ext
                     if proj < best_proj or (
                         proj == best_proj and idx < best_idx
                     ):
-                        best_ci, best_proj, best_idx = ci, proj, idx
-                load, idx = heapq.heappop(heaps[best_ci])
-                if idx == home_node[m]:
-                    enqueue = t
-                else:
-                    hop = hop_by_class[m][best_ci]
-                    enqueue = t + hop
-                    transfer_hops += 1
-                    transfer_ms += hop
-                per_node_enqueue[idx].append(enqueue)
-                per_node_arrival[idx].append(t)
-                per_node_model[idx].append(m)
-                heapq.heappush(
-                    heaps[best_ci], (load + local_ext[m][best_ci], idx)
-                )
+                        best_heap, best_proj, best_idx = h, proj, idx
+                # The node's new load is exactly ``proj``, and (load, idx)
+                # entries are unique, so replacing the head leaves the pop
+                # order of a pop-then-push unchanged.
+                heapreplace(best_heap, (best_proj, best_idx))
+                record(best_idx)
+            stop = pos + len(chosen)
+            arrival[pos:stop] = t_chunk
+            model_idx[pos:stop] = idx_chunk
+            node[pos:stop] = chosen
+            pos = stop
+
+        # Off-home placements pay one ingress hop. The hop total is summed
+        # in deal order, so its bits match a running per-request sum.
+        home = np.asarray(home_node, dtype=np.int64)
+        hop_table = np.asarray(hop_by_class, dtype=np.float64)
+        away = node != home[model_idx]
+        hops = hop_table[
+            model_idx[away], np.asarray(node_class, dtype=np.int64)[node[away]]
+        ]
+        transfer_hops = int(hops.size)
+        transfer_ms = 0.0
+        for hop in hops.tolist():
+            transfer_ms += hop
+        del away, hops
+
+        # Group by node with one stable sort, so each node's rows keep
+        # deal order. Off home, a request enqueues at ``t + hop``: the
+        # same IEEE add, elementwise, as the per-request deal.
+        order = np.argsort(node, kind="stable")
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(node, minlength=n_nodes)))
+        ).tolist()
+        del node
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for i in range(n_nodes):
+            rows = order[bounds[i] : bounds[i + 1]]
+            a_i = arrival[rows]
+            m_i = model_idx[rows]
+            off_home = home[m_i] != i
+            e_i = a_i.copy()
+            e_i[off_home] += hop_table[m_i[off_home], node_class[i]]
+            parts.append((e_i, a_i, m_i))
+        # The per-node columns are all that is needed from here on; drop
+        # the whole-trace ones before failover builds the shards.
+        del order, arrival, model_idx
 
         # ---- failover: re-deal requests headed for down nodes ----------
         # Runs after the fault-free deal so an empty/healthy plan leaves
@@ -626,6 +670,9 @@ class FleetOrchestrator:
         timelines = self._fault_timelines(scenario)
         re_routed = 0
         failover_ms = 0.0
+        #: target node -> re-dealt (enqueue, arrival, model) columns, in
+        #: re-deal order; appended after the node's kept entries.
+        redealt: dict[int, tuple[list[float], list[float], list[int]]] = {}
         if timelines is not None:
             load_by_node = [0.0] * n_nodes
             for h in heaps:
@@ -634,35 +681,28 @@ class FleetOrchestrator:
             class_nodes: list[list[int]] = [[] for _ in range(n_classes)]
             for i in range(n_nodes):
                 class_nodes[node_class[i]].append(i)
+            healthy = [tl.healthy for tl in timelines]
             fo_hop: dict[tuple[int, int, int], float] = {}
             for i in range(n_nodes):
-                tl = timelines[i]
-                if tl.healthy:
+                if healthy[i]:
                     continue
-                keep_e: list[float] = []
-                keep_a: list[float] = []
-                keep_m: list[int] = []
-                orphans: list[tuple[float, float, int]] = []
-                for e, a, m in zip(
-                    per_node_enqueue[i], per_node_arrival[i], per_node_model[i]
-                ):
-                    if tl.is_up(e):
-                        keep_e.append(e)
-                        keep_a.append(a)
-                        keep_m.append(m)
-                    else:
-                        orphans.append((e, a, m))
-                if not orphans:
+                e_i, a_i, m_i = parts[i]
+                # The half-open [start, end) test of NodeTimeline.is_up.
+                up = np.zeros(e_i.size, dtype=bool)
+                for start, end, _mult in timelines[i].segments:
+                    up |= (e_i >= start) & (e_i < end)
+                if up.all():
                     continue
-                per_node_enqueue[i] = keep_e
-                per_node_arrival[i] = keep_a
-                per_node_model[i] = keep_m
+                parts[i] = (e_i[up], a_i[up], m_i[up])
+                down = ~up
                 src_ci = node_class[i]
-                for e, a, m in orphans:
+                for e, a, m in zip(
+                    e_i[down].tolist(), a_i[down].tolist(), m_i[down].tolist()
+                ):
                     # Same selection rule as the deal — least projected
                     # completion, ties to the lower node index — over the
                     # nodes still up when the re-shipped request lands.
-                    best_proj = float("inf")
+                    best_proj = math.inf
                     best_idx = -1
                     best_ci = -1
                     best_enqueue = 0.0
@@ -675,7 +715,9 @@ class FleetOrchestrator:
                             fo_hop[(src_ci, ci, m)] = hop
                         cand_enqueue = e + hop
                         for j in class_nodes[ci]:
-                            if j == i or not timelines[j].is_up(cand_enqueue):
+                            if j == i or not (
+                                healthy[j] or timelines[j].is_up(cand_enqueue)
+                            ):
                                 continue
                             proj = load_by_node[j] + local_ext[m][ci]
                             if proj < best_proj or (
@@ -692,9 +734,12 @@ class FleetOrchestrator:
                             f"(node {nodes[i].name} is down and every "
                             f"eligible class has no live node)"
                         )
-                    per_node_enqueue[best_idx].append(best_enqueue)
-                    per_node_arrival[best_idx].append(a)
-                    per_node_model[best_idx].append(m)
+                    cols = redealt.get(best_idx)
+                    if cols is None:
+                        cols = redealt[best_idx] = ([], [], [])
+                    cols[0].append(best_enqueue)
+                    cols[1].append(a)
+                    cols[2].append(m)
                     load_by_node[best_idx] += local_ext[m][best_ci]
                     re_routed += 1
                     failover_ms += best_enqueue - e
@@ -702,20 +747,22 @@ class FleetOrchestrator:
         self._last_failover = (re_routed, failover_ms)
 
         shards: list[NodeShard] = []
-        for i in range(n_nodes):
-            enqueue = np.asarray(per_node_enqueue[i], dtype=np.float64)
-            arrival = np.asarray(per_node_arrival[i], dtype=np.float64)
-            midx = np.asarray(per_node_model[i], dtype=np.int64)
+        for i, (e_i, a_i, m_i) in enumerate(parts):
+            cols = redealt.get(i)
+            if cols is not None:
+                e_i = np.concatenate((e_i, np.asarray(cols[0], dtype=np.float64)))
+                a_i = np.concatenate((a_i, np.asarray(cols[1], dtype=np.float64)))
+                m_i = np.concatenate((m_i, np.asarray(cols[2], dtype=np.int64)))
             # Ingress hops can locally reorder the stream; a stable sort
             # on enqueue time restores kernel order deterministically.
-            order = np.argsort(enqueue, kind="stable")
+            by_time = np.argsort(e_i, kind="stable")
             shards.append(
                 NodeShard(
                     node=nodes[i].name,
                     device_name=nodes[i].device.name,
-                    enqueue_ms=enqueue[order],
-                    arrival_ms=arrival[order],
-                    model_idx=midx[order],
+                    enqueue_ms=e_i[by_time],
+                    arrival_ms=a_i[by_time],
+                    model_idx=m_i[by_time],
                 )
             )
         self._last_transfer = (transfer_hops, transfer_ms)

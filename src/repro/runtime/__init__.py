@@ -13,7 +13,6 @@ contention-degraded processor sharing and keeps its own loop.
 together for the evaluation scenarios.
 """
 
-from repro.runtime.events import Arrival, EventKind
 from repro.runtime.trace import ExecutionTrace, TraceEntry
 from repro.runtime.kernel import (
     EngineResult,
@@ -80,8 +79,6 @@ from repro.runtime.traces import (
 )
 
 __all__ = [
-    "Arrival",
-    "EventKind",
     "ExecutionTrace",
     "TraceEntry",
     "EngineResult",

@@ -802,10 +802,11 @@ class EventKernel:
         is admitted consecutively with no other event in between, so a
         whole run of pending arrivals can be admitted in one
         ``bulk_admit`` call; (b) after a finish drains the queue, the next
-        arrival's own time is the grant time; (c) terminal settlement is
-        order-sensitive only in the sink-call sequence, so terminals are
-        buffered and flushed through the sink's batched variant
-        (``observe_batch``) in original order.
+        arrival's own time is the grant time, and a bulk-admitting policy
+        admits it by appending it to the empty queue; (c) terminal
+        settlement is order-sensitive only in the sink-call sequence, so
+        terminals are buffered and flushed through the sink's batched
+        variant (``observe_batch``) in original order.
 
         Arrivals come from a :class:`ChunkSource` (structure-of-arrays
         chunks, ~zero allocation with a request pool), a pre-validated
@@ -906,7 +907,13 @@ class EventKernel:
                 i += 1
                 proc_now = t
                 dispatched += 1
-                if not scheduler.on_arrival(queue, req, t):
+                if bulk is not None:
+                    # A bulk-admitting policy never rejects, and its
+                    # admission into the empty queue is the sole entry at
+                    # position 0 with no other effect (the contract on
+                    # ``Scheduler.bulk_admit``).
+                    queue.append(req)
+                elif not scheduler.on_arrival(queue, req, t):
                     n_dropped += 1
                     out_reqs.append(req)
                     out_outcomes.append("rejected")

@@ -30,9 +30,11 @@ class Scheduler(abc.ABC):
     #: time-ordered arrival chunk and must be observably identical —
     #: ordering, counters, side effects — to calling :meth:`on_arrival`
     #: once per request in order, and may only be provided by policies that
-    #: never reject. ``None`` (the default) makes the kernel's fast lane
-    #: fall back to per-request admission; policies opt in by defining a
-    #: method of this name (see ``SplitScheduler``).
+    #: never reject and whose :meth:`on_arrival` into an empty queue does
+    #: nothing but make the request its sole entry (the fast lane appends
+    #: such arrivals directly). ``None`` (the default) makes the kernel's
+    #: fast lane fall back to per-request admission; policies opt in by
+    #: defining a method of this name (see ``SplitScheduler``).
     bulk_admit = None
 
     @abc.abstractmethod

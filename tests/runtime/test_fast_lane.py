@@ -11,8 +11,9 @@ chain legacy == reference == fast is closed).
 
 Also covered: lane selection (when the fast lane must disengage), the
 chunked arrival source's bit-identity with the element-wise merge,
-``bulk_admit`` vs per-request ``on_arrival``, ``observe_batch`` vs the
-scalar sink, and request-pool recycling.
+``bulk_admit`` vs per-request ``on_arrival``, admission of arrivals
+that find the processor idle, ``observe_batch`` vs the scalar sink, and
+request-pool recycling.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.runtime.workload import (
     WorkloadGenerator,
     materialize_chunk_stream,
 )
-from repro.scheduling.policies import SplitScheduler
+from repro.scheduling.policies import ClockWorkScheduler, SplitScheduler
 from repro.scheduling.queue import ListBackedRequestQueue
 from repro.scheduling.request import Request, RequestPool
 from repro.zoo.registry import EVALUATED_MODELS
@@ -282,6 +283,109 @@ class TestBulkAdmit:
             one_ids[r.request_id] for r in q_one
         ]
         assert sched_blk.preempt_inserts == sched_one.preempt_inserts
+
+
+def sparse_arrivals(seed=11, n_sparse=300, gap_ms=400.0, burst_every=40):
+    """A sparse stream (mean gap far above service time, so most arrivals
+    find the processor idle) with a burst of eight simultaneous-ish
+    arrivals every ``burst_every`` requests — enough queueing for greedy
+    head inserts, elastic suspensions and ClockWork drops to happen."""
+    specs = list(split_specs().values())
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    arrivals = []
+    for k in range(n_sparse):
+        t += float(rng.exponential(gap_ms))
+        spec = specs[int(rng.integers(len(specs)))]
+        arrivals.append((t, Request(task=spec, arrival_ms=t)))
+        if k % burst_every == burst_every - 1:
+            for b in range(8):
+                tb = t + 0.5 * (b + 1)
+                arrivals.append(
+                    (tb, Request(task=specs[b % len(specs)], arrival_ms=tb))
+                )
+    return sorted(arrivals, key=lambda p: p[0])
+
+
+def counted(scheduler):
+    """Wrap the scheduler's admission entry points (instance attributes
+    shadow the class, and the kernel looks both up on the instance);
+    returns the live per-entry-point request counts."""
+    counts = {"on_arrival": 0, "bulk_admit": 0}
+    on_arrival = scheduler.on_arrival
+    bulk_admit = scheduler.bulk_admit
+
+    def counting_on_arrival(queue, request, now_ms):
+        counts["on_arrival"] += 1
+        return on_arrival(queue, request, now_ms)
+
+    scheduler.on_arrival = counting_on_arrival
+    if bulk_admit is not None:
+
+        def counting_bulk_admit(queue, requests):
+            counts["bulk_admit"] += len(requests)
+            bulk_admit(queue, requests)
+
+        scheduler.bulk_admit = counting_bulk_admit
+    return counts
+
+
+def run_kernel(scheduler, arrivals, fast_lane):
+    kernel = EventKernel([scheduler], keep_trace=True, fast_lane=fast_lane)
+    result = EngineResult(trace=kernel.procs[0].trace)
+    kernel.run(arrivals, batch_sink(result), result)
+    return kernel, result
+
+
+class TestIdleAdmission:
+    """The fast lane appends an arrival that finds the processor idle
+    straight into the empty queue when the policy offers ``bulk_admit``;
+    everything observable must match the reference lane's scalar
+    ``on_arrival`` path."""
+
+    def test_split_idle_arrivals_match_reference(self):
+        fast_arr, slow_arr = sparse_arrivals(), sparse_arrivals()
+        n = len(fast_arr)
+        fast_sched, slow_sched = SplitScheduler(), SplitScheduler()
+        counts = counted(fast_sched)
+        kernel, fast = run_kernel(fast_sched, fast_arr, None)
+        _, slow = run_kernel(slow_sched, slow_arr, False)
+        assert kernel.lane_used == "fast"
+        # The shortcut carried most of the stream: arrivals that reached
+        # neither admission entry point were appended to an idle queue.
+        assert counts["on_arrival"] == 0
+        idle = n - counts["bulk_admit"]
+        assert idle > n // 2
+        assert canon_trace(fast.trace, identity(fast_arr)) == canon_trace(
+            slow.trace, identity(slow_arr)
+        )
+        assert bucket_sig(fast.completed, identity(fast_arr)) == bucket_sig(
+            slow.completed, identity(slow_arr)
+        )
+        assert fast_sched.preempt_inserts == slow_sched.preempt_inserts > 0
+        assert (
+            fast_sched.elastic.suspensions
+            == slow_sched.elastic.suspensions
+            > 0
+        )
+        assert fast.preemptions == slow.preemptions
+        assert fast.context_switches == slow.context_switches
+
+    def test_policy_without_bulk_admit_reaches_on_arrival(self):
+        fast_arr, slow_arr = sparse_arrivals(), sparse_arrivals()
+        fast_sched = ClockWorkScheduler(drop_alpha=2.0)
+        slow_sched = ClockWorkScheduler(drop_alpha=2.0)
+        counts = counted(fast_sched)
+        kernel, fast = run_kernel(fast_sched, fast_arr, None)
+        _, slow = run_kernel(slow_sched, slow_arr, False)
+        assert kernel.lane_used == "fast"
+        # Idle arrivals included: every admission decision is the policy's.
+        assert counts["on_arrival"] == len(fast_arr)
+        assert fast_sched.dropped == slow_sched.dropped > 0
+        assert fast.n_dropped == slow.n_dropped == fast_sched.dropped
+        assert canon_trace(fast.trace, identity(fast_arr)) == canon_trace(
+            slow.trace, identity(slow_arr)
+        )
 
 
 class TestRequestPool:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.hardware.contention import ContentionModel
@@ -77,7 +79,9 @@ class ConcurrentEngine:
         for i, (t, req) in enumerate(arrivals):
             heapq.heappush(heap, (t, i, req))
 
-        window: dict[int, tuple[Request, float]] = {}  # rid -> (req, work left)
+        #: rid -> mutable ``[req, work left]``; progress drains ``left`` in
+        #: place, so an event touches each entry once and allocates nothing.
+        window: dict[int, list[Any]] = {}
         backlog: deque[Request] = deque()
         retry_heap: list[tuple[float, int, Request]] = []
         retry_seq = itertools.count()
@@ -88,7 +92,12 @@ class ConcurrentEngine:
         mentors: dict[int, set[int]] = {}
         #: work-finished requests held back by unfinished mentors.
         held: dict[int, Request] = {}
+        barrier = self.alignment_barrier
         max_streams = self.contention.device.max_streams
+        #: Per-request progress rate by window size (``_rate`` is a pure
+        #: function of it, and the window never exceeds ``max_streams``).
+        rates = [self._rate(n) for n in range(max_streams + 1)]
+        inf = math.inf
         now = 0.0
 
         def admit(t: float) -> None:
@@ -116,9 +125,9 @@ class ConcurrentEngine:
                             doomed.add(req.request_id)
                 if not req.started:
                     req.begin((req.task.ext_ms,), t)
-                if self.alignment_barrier:
+                if barrier:
                     mentors[req.request_id] = set(window.keys()) | set(held)
-                window[req.request_id] = (req, work)
+                window[req.request_id] = [req, work]
 
         def advance(to: float) -> None:
             nonlocal now
@@ -126,17 +135,10 @@ class ConcurrentEngine:
             if span < -1e-9:
                 raise SimulationError("time went backwards")
             if span > 0 and window:
-                done = span * self._rate(len(window))
-                for rid, (req, left) in list(window.items()):
-                    window[rid] = (req, left - done)
+                done = span * rates[len(window)]
+                for entry in window.values():
+                    entry[1] = entry[1] - done
             now = to
-
-        def next_completion() -> float:
-            if not window:
-                return float("inf")
-            rate = self._rate(len(window))
-            min_left = min(left for _, left in window.values())
-            return now + max(0.0, min_left) / rate
 
         def complete(req: Request, t: float) -> None:
             req.next_block = len(req.plan_ms or (0,))
@@ -181,11 +183,15 @@ class ConcurrentEngine:
                         done_something = True
 
         while heap or window or backlog or held or retry_heap:
-            t_arr = heap[0][0] if heap else float("inf")
-            t_retry = retry_heap[0][0] if retry_heap else float("inf")
-            t_done = next_completion()
+            t_arr = heap[0][0] if heap else inf
+            t_retry = retry_heap[0][0] if retry_heap else inf
+            if window:
+                min_left = min(entry[1] for entry in window.values())
+                t_done = now + max(0.0, min_left) / rates[len(window)]
+            else:
+                t_done = inf
             if t_arr <= min(t_done, t_retry):
-                if t_arr == float("inf"):
+                if t_arr == inf:
                     raise SimulationError(
                         "alignment barrier deadlock: held requests with no "
                         "running mentors"
@@ -203,23 +209,23 @@ class ConcurrentEngine:
             else:
                 advance(t_done)
                 finished = [
-                    rid for rid, (_, left) in window.items() if left <= 1e-9
+                    rid for rid, entry in window.items() if entry[1] <= 1e-9
                 ]
                 if not finished:
                     raise SimulationError("completion event with nothing done")
                 for rid in finished:
-                    req, _ = window.pop(rid)
+                    req = window.pop(rid)[0]
                     if rid in doomed:
                         doomed.discard(rid)
                         fail_or_retry(req, now)
                         continue
-                    unfinished_mentors = mentors.get(rid, set()) & (
+                    if barrier and mentors.get(rid, set()) & (
                         set(window) | set(held)
-                    )
-                    if self.alignment_barrier and unfinished_mentors:
+                    ):
                         held[rid] = req  # work done, waiting for alignment
                     else:
                         complete(req, now)
-                release_held(now)
+                if held:
+                    release_held(now)
                 admit(now)
         return result

@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,9 +48,14 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Immutable per-request outcome."""
+class RequestRecord(NamedTuple):
+    """Immutable per-request outcome.
+
+    A named tuple rather than a frozen dataclass: a run freezes one
+    record per request, and building a tuple costs a fraction of a frozen
+    dataclass's per-field ``object.__setattr__`` calls. Fields, defaults,
+    keyword construction and read-only attributes are the same.
+    """
 
     request_id: int
     model: str
@@ -86,31 +92,37 @@ class RequestRecord:
 
 
 def collect_records(result: EngineResult) -> list[RequestRecord]:
-    """Freeze an engine run's outcome into records.
+    """Freeze an engine run's outcome into records, sorted by arrival.
 
     Only served requests carry a finish time; every other outcome counts
-    as a violation at any target (``finish_ms=None``).
+    as a violation at any target (``finish_ms=None``). Buckets are
+    concatenated in a fixed order before the stable sort, so requests
+    sharing an arrival time keep that order.
     """
-
-    def freeze(req: Request, outcome: str) -> RequestRecord:
-        return RequestRecord(
-            request_id=req.request_id,
-            model=req.task_type,
-            arrival_ms=req.arrival_ms,
-            finish_ms=req.finish_ms if outcome == "served" else None,
-            ext_ms=req.ext_ms,
-            preemptions=req.preemptions,
-            alpha=req.task.alpha,
-            outcome=outcome,
-            retries=req.retries,
-        )
-
-    records = [freeze(r, "served") for r in result.completed]
-    records += [freeze(r, "rejected") for r in result.dropped]
-    records += [freeze(r, "failed") for r in result.failed]
-    records += [freeze(r, "timed_out") for r in result.timed_out]
-    records += [freeze(r, "shed") for r in result.shed]
-    records.sort(key=lambda r: r.arrival_ms)
+    records: list[RequestRecord] = []
+    for bucket, outcome in (
+        (result.completed, "served"),
+        (result.dropped, "rejected"),
+        (result.failed, "failed"),
+        (result.timed_out, "timed_out"),
+        (result.shed, "shed"),
+    ):
+        served = outcome == "served"
+        records += [
+            RequestRecord(
+                r.request_id,
+                r.task.name,
+                r.arrival_ms,
+                r.finish_ms if served else None,
+                r.task.ext_ms,
+                r.preemptions,
+                r.task.alpha,
+                outcome,
+                r.retries,
+            )
+            for r in bucket
+        ]
+    records.sort(key=attrgetter("arrival_ms"))
     return records
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.scheduling.policies.base import Scheduler
 from repro.scheduling.queue import RequestQueue
-from repro.scheduling.request import Request
+from repro.scheduling.request import Request, TaskSpec
 from repro.types import RequestClass
 
 #: PREMA's paper uses priority classes {1, 3, 9}; we map latency-critical
@@ -67,6 +67,11 @@ class PremaScheduler(Scheduler):
         # per-boundary cost (block_overhead_ms = 1.6 ms) — the same price
         # SPLIT pays at each of its cut boundaries.
         self.preemption_overhead_ms = preemption_overhead_ms
+        #: Task type -> ``(task, priority)``: the class priority resolved
+        #: once per task object instead of hashing the ``RequestClass``
+        #: enum (a Python-level ``__hash__``) for every candidate; a
+        #: different TaskSpec under the same type name re-resolves.
+        self._priority: dict[str, tuple[TaskSpec, float]] = {}
 
     def on_arrival(self, queue: RequestQueue, request: Request, now_ms: float) -> bool:
         queue.append(request)
@@ -103,16 +108,20 @@ class PremaScheduler(Scheduler):
           the winner just arrived, which under load means a short queue.
         """
         candidates = queue.min_arrival_candidates()
-        priorities = PRIORITY_BY_CLASS
+        resolved = self._priority
         best_req: Request | None = None
         best_token = -1.0
         tied: list[Request] | None = None
         for req in candidates:
             task = req.task
+            entry = resolved.get(task.name)
+            if entry is None or entry[0] is not task:
+                entry = (task, PRIORITY_BY_CLASS[task.request_class])
+                resolved[task.name] = entry
             waited = now_ms - req.arrival_ms
             if waited < 0.0:
                 waited = 0.0
-            t = priorities[task.request_class] * (1.0 + waited / task.ext_ms)
+            t = entry[1] * (1.0 + waited / task.ext_ms)
             if t > best_token:
                 best_token = t
                 best_req = req

@@ -22,7 +22,10 @@ Two backends share one mutation surface:
     maintained afterwards, stale entries discarded lazily) that give
     priority policies the per-type minimum-arrival candidates they need
     to avoid rescanning the whole queue at every block boundary (see
-    :meth:`min_arrival_candidates` and ``policies/prema.py``);
+    :meth:`min_arrival_candidates` and ``policies/prema.py``). A query
+    reads each live heap root in place when neither of its children
+    shares its arrival time, which makes the root the unique minimum;
+    only a real tie pops the tied entries and pushes them back;
   - a **run-length summary** (``runs_reversed``) compressing maximal
     stretches of consecutive never-started requests of the same task.
     Everything the greedy bubble reads off such a request (remaining
@@ -513,6 +516,8 @@ class RequestQueue:
         The heaps behind this are built on first call (O(n log n) once)
         and maintained incrementally afterwards; entries for requests that
         have since left the queue are discarded lazily when they surface.
+        A heap root with no child at its arrival time is read in place, so
+        the common untied query allocates and reorders nothing.
         Returns one request per type, plus every same-type request sharing
         the exact minimal arrival time (ties are resolved by the caller).
         """
@@ -527,35 +532,39 @@ class RequestQueue:
                 )
         out: list[Request] = []
         ids = self._ids
+        index = self._arrival_index
         for ttype in self._type_counts:
-            heap = self._arrival_index.get(ttype)
+            heap = index.get(ttype)
+            # Drop stale tops so the minimum is a live entry.
+            while heap and heap[0][2].request_id not in ids:
+                heapq.heappop(heap)
             if not heap:
                 raise SchedulingError(
                     f"arrival index lost track of task type {ttype!r}"
                 )
-            while heap:
-                # Drop stale tops so the minimum is a live entry.
-                while heap and heap[0][2].request_id not in ids:
-                    heapq.heappop(heap)
-                if not heap:
-                    raise SchedulingError(
-                        f"arrival index lost track of task type {ttype!r}"
-                    )
-                t0 = heap[0][0]
-                popped: list[tuple[float, int, Request]] = []
-                while heap and heap[0][0] == t0:
-                    entry = heapq.heappop(heap)
-                    if entry[2].request_id in ids:
-                        popped.append(entry)
-                if popped:
-                    seen: set[int] = set()
-                    for entry in popped:
-                        rid = entry[2].request_id
-                        if rid not in seen:
-                            seen.add(rid)
-                            out.append(entry[2])
-                        heapq.heappush(heap, entry)
-                    break
+            root = heap[0]
+            t0 = root[0]
+            n = len(heap)
+            # Every entry arriving at t0 descends from the root through
+            # entries that also arrive at t0, so when neither child does,
+            # the root is the unique minimum: read it in place.
+            if (n < 2 or heap[1][0] != t0) and (n < 3 or heap[2][0] != t0):
+                out.append(root[2])
+                continue
+            # A real tie: pop every t0 entry, keep the live ones (one per
+            # request), push them back.
+            popped: list[tuple[float, int, Request]] = []
+            while heap and heap[0][0] == t0:
+                entry = heapq.heappop(heap)
+                if entry[2].request_id in ids:
+                    popped.append(entry)
+            seen: set[int] = set()
+            for entry in popped:
+                rid = entry[2].request_id
+                if rid not in seen:
+                    seen.add(rid)
+                    out.append(entry[2])
+                heapq.heappush(heap, entry)
         return out
 
 

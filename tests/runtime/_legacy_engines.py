@@ -8,6 +8,10 @@ kept here — unmodified except for class names and imports — as the
 (``test_kernel_differential.py``), which proves the kernel produces
 byte-identical block traces and float-identical QoS curves.
 
+It also keeps the RT-A processor-sharing loop (``LegacyConcurrentEngine``)
+as it stood before the in-place window rewrite, the old side of
+``test_executor_differential.py``.
+
 Do not fix, extend, or "clean up" this module: its only value is being
 exactly what shipped before the kernel swap.
 """
@@ -17,13 +21,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import SimulationError
+from repro.hardware.contention import ContentionModel
 from repro.robustness.config import RobustnessConfig
 from repro.robustness.faults import FaultKind
-from repro.runtime.kernel import EngineResult
+from repro.runtime.kernel import EngineResult, validate_batch_arrivals
 from repro.runtime.multi import MultiEngineResult
 from repro.runtime.trace import ExecutionTrace, TraceEntry
 from repro.scheduling.policies.base import Scheduler
@@ -570,3 +576,193 @@ class LegacyMultiProcessorEngine:
         return MultiEngineResult(
             engine_result=result, placements=placements, traces=traces
         )
+
+
+class LegacyConcurrentEngine:
+    """The pre-rewrite ConcurrentEngine (RT-A), revision ffde652, verbatim."""
+
+    def __init__(
+        self,
+        contention: ContentionModel,
+        aligned: bool = True,
+        alignment_barrier: bool = False,
+        robustness: RobustnessConfig | None = None,
+    ):
+        self.contention = contention
+        #: ``aligned=True`` uses RT-A's alignment throughput curve;
+        #: False models naive multi-stream contention (ablation).
+        self.aligned = aligned
+        #: The paper's Fig.-1 semantics: a request that joins mid-flight is
+        #: *aligned* with the already-running requests and cannot return
+        #: before they complete ("it has to be aligned with request B and
+        #: wait for the completion of request B", §1). Off by default —
+        #: the fleet evaluation uses the more charitable processor-sharing
+        #: completion; Fig. 1 turns this on.
+        self.alignment_barrier = alignment_barrier
+        if robustness is not None and robustness.load_shed is not None:
+            raise SimulationError(
+                "ConcurrentEngine does not support load shedding; use the "
+                "sequential engine or the server"
+            )
+        self.robustness = robustness
+
+    def _rate(self, n_active: int) -> float:
+        if self.aligned:
+            return self.contention.aligned_rate(n_active)
+        return self.contention.per_request_rate(n_active)
+
+    def run(self, arrivals: list[tuple[float, Request]]) -> EngineResult:
+        result = EngineResult()
+        cfg = self.robustness
+        injector = cfg.make_injector() if cfg is not None else None
+        validate_batch_arrivals(arrivals)
+        heap: list[tuple[float, int, Request]] = []
+        for i, (t, req) in enumerate(arrivals):
+            heapq.heappush(heap, (t, i, req))
+
+        window: dict[int, tuple[Request, float]] = {}  # rid -> (req, work left)
+        backlog: deque[Request] = deque()
+        retry_heap: list[tuple[float, int, Request]] = []
+        retry_seq = itertools.count()
+        #: rids whose current execution was failed by the injector.
+        doomed: set[int] = set()
+        #: rid -> ids of requests it joined mid-flight (alignment mentors);
+        #: with the barrier on, completion is deferred until they finish.
+        mentors: dict[int, set[int]] = {}
+        #: work-finished requests held back by unfinished mentors.
+        held: dict[int, Request] = {}
+        max_streams = self.contention.device.max_streams
+        now = 0.0
+
+        def admit(t: float) -> None:
+            while backlog and len(window) < max_streams:
+                req = backlog.popleft()
+                if cfg is not None and t >= cfg.deadline_ms(req):
+                    req.outcome = "timed_out"
+                    result.timed_out.append(req)
+                    continue
+                work = req.task.ext_ms
+                if injector is not None:
+                    decision = injector.decide(
+                        req.task_type, req.arrival_ms, 0, req.retries
+                    )
+                    if decision is not None:
+                        if decision.kind is FaultKind.DROP:
+                            result.fault_drops += 1
+                            req.outcome = "failed"
+                            result.failed.append(req)
+                            continue
+                        if decision.kind is FaultKind.STALL:
+                            work *= decision.stall_factor
+                            result.stalls += 1
+                        else:  # FAIL: detected only once the work is spent
+                            doomed.add(req.request_id)
+                if not req.started:
+                    req.begin((req.task.ext_ms,), t)
+                if self.alignment_barrier:
+                    mentors[req.request_id] = set(window.keys()) | set(held)
+                window[req.request_id] = (req, work)
+
+        def advance(to: float) -> None:
+            nonlocal now
+            span = to - now
+            if span < -1e-9:
+                raise SimulationError("time went backwards")
+            if span > 0 and window:
+                done = span * self._rate(len(window))
+                for rid, (req, left) in list(window.items()):
+                    window[rid] = (req, left - done)
+            now = to
+
+        def next_completion() -> float:
+            if not window:
+                return float("inf")
+            rate = self._rate(len(window))
+            min_left = min(left for _, left in window.values())
+            return now + max(0.0, min_left) / rate
+
+        def complete(req: Request, t: float) -> None:
+            req.next_block = len(req.plan_ms or (0,))
+            req.finish_ms = t
+            if cfg is not None and t > cfg.deadline_ms(req):
+                req.outcome = "timed_out"
+                result.timed_out.append(req)
+            else:
+                req.outcome = "served"
+                result.completed.append(req)
+            mentors.pop(req.request_id, None)
+
+        def fail_or_retry(req: Request, t: float) -> None:
+            assert cfg is not None
+            result.fault_fails += 1
+            req.retries += 1
+            mentors.pop(req.request_id, None)
+            if cfg.retry.exhausted(req.retries):
+                req.outcome = "failed"
+                result.failed.append(req)
+            else:
+                result.retries += 1
+                heapq.heappush(
+                    retry_heap,
+                    (
+                        t + cfg.retry.backoff_ms(req.retries - 1),
+                        next(retry_seq),
+                        req,
+                    ),
+                )
+
+        def release_held(t: float) -> None:
+            """Complete held requests whose mentors have all finished."""
+            done_something = True
+            while done_something:
+                done_something = False
+                active = set(window) | set(held)
+                for rid, req in list(held.items()):
+                    if not (mentors.get(rid, set()) & active - {rid}):
+                        del held[rid]
+                        complete(req, t)
+                        done_something = True
+
+        while heap or window or backlog or held or retry_heap:
+            t_arr = heap[0][0] if heap else float("inf")
+            t_retry = retry_heap[0][0] if retry_heap else float("inf")
+            t_done = next_completion()
+            if t_arr <= min(t_done, t_retry):
+                if t_arr == float("inf"):
+                    raise SimulationError(
+                        "alignment barrier deadlock: held requests with no "
+                        "running mentors"
+                    )
+                advance(t_arr)
+                _, _, req = heapq.heappop(heap)
+                backlog.append(req)
+                admit(now)
+            elif t_retry <= t_done:
+                advance(t_retry)
+                while retry_heap and retry_heap[0][0] <= now:
+                    _, _, req = heapq.heappop(retry_heap)
+                    backlog.append(req)
+                admit(now)
+            else:
+                advance(t_done)
+                finished = [
+                    rid for rid, (_, left) in window.items() if left <= 1e-9
+                ]
+                if not finished:
+                    raise SimulationError("completion event with nothing done")
+                for rid in finished:
+                    req, _ = window.pop(rid)
+                    if rid in doomed:
+                        doomed.discard(rid)
+                        fail_or_retry(req, now)
+                        continue
+                    unfinished_mentors = mentors.get(rid, set()) & (
+                        set(window) | set(held)
+                    )
+                    if self.alignment_barrier and unfinished_mentors:
+                        held[rid] = req  # work done, waiting for alignment
+                    else:
+                        complete(req, now)
+                release_held(now)
+                admit(now)
+        return result

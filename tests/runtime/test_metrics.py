@@ -1,12 +1,26 @@
 """QoS metrics: violation curves and jitter."""
 
 import math
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from repro.runtime.engine import EngineResult
+from repro.hardware.presets import jetson_nano
+from repro.robustness import FaultPlan, LoadShedConfig, RetryPolicy, RobustnessConfig
+from repro.runtime.capture import float_bits
+from repro.runtime.engine import EngineResult, SequentialEngine
 from repro.runtime.metrics import QoSReport, RequestRecord, collect_records
+from repro.runtime.simulator import EVALUATED_MODELS, _profiles_for, _request_classes
+from repro.runtime.workload import (
+    SCENARIOS,
+    WorkloadGenerator,
+    WorkloadItem,
+    build_task_specs,
+    materialize_requests,
+)
+from repro.scheduling.policies import ClockWorkScheduler
 from repro.scheduling.request import Request, TaskSpec
 
 
@@ -103,3 +117,126 @@ class TestCollectRecords:
         assert records[0].dropped
         assert not records[1].dropped
         assert records[1].e2e_ms == 15.0
+
+
+# -- record-freeze pin -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _LegacyRequestRecord:
+    """The frozen-dataclass record, as it stood before the named tuple."""
+
+    request_id: int
+    model: str
+    arrival_ms: float
+    finish_ms: float | None
+    ext_ms: float
+    preemptions: int = 0
+    alpha: float = 1.0
+    outcome: str = "served"
+    retries: int = 0
+
+
+def _legacy_collect_records(result: EngineResult) -> list[_LegacyRequestRecord]:
+    """The keyword-built ``freeze`` collector, kept as the oracle."""
+
+    def freeze(req: Request, outcome: str) -> _LegacyRequestRecord:
+        return _LegacyRequestRecord(
+            request_id=req.request_id,
+            model=req.task_type,
+            arrival_ms=req.arrival_ms,
+            finish_ms=req.finish_ms if outcome == "served" else None,
+            ext_ms=req.ext_ms,
+            preemptions=req.preemptions,
+            alpha=req.task.alpha,
+            outcome=outcome,
+            retries=req.retries,
+        )
+
+    records = [freeze(r, "served") for r in result.completed]
+    records += [freeze(r, "rejected") for r in result.dropped]
+    records += [freeze(r, "failed") for r in result.failed]
+    records += [freeze(r, "timed_out") for r in result.timed_out]
+    records += [freeze(r, "shed") for r in result.shed]
+    records.sort(key=lambda r: r.arrival_ms)
+    return records
+
+
+FLOAT_FIELDS = ("arrival_ms", "finish_ms", "ext_ms", "alpha")
+
+
+@pytest.fixture(scope="module")
+def five_outcome_result():
+    """A robust run reaching every outcome: admission rejects (ClockWork's
+    straggler drop), sheds, injected failures and deadline misses.
+
+    Arrivals are snapped to a 50 ms grid so requests in different outcome
+    buckets share arrival times: only then does the bucket concatenation
+    order show in the stable sort's output."""
+    device = jetson_nano()
+    specs = build_task_specs(
+        _profiles_for(EVALUATED_MODELS, device.name),
+        plan_kind="vanilla",
+        request_classes=_request_classes(EVALUATED_MODELS),
+        alphas={EVALUATED_MODELS[0]: 0.5},
+    )
+    items = [
+        WorkloadItem(50.0 * (item.arrival_ms // 50.0), item.model_name)
+        for item in WorkloadGenerator(EVALUATED_MODELS, seed=3).generate(
+            SCENARIOS[5]
+        )
+    ]
+    cfg = RobustnessConfig(
+        faults=FaultPlan(seed=5, fail_rate=0.1, stall_rate=0.05, drop_rate=0.03),
+        retry=RetryPolicy(max_retries=1, backoff_base_ms=2.0),
+        timeout_rr=12.0,
+        load_shed=LoadShedConfig(max_queue_depth=8),
+    )
+    engine = SequentialEngine(ClockWorkScheduler(drop_alpha=10.0), robustness=cfg)
+    return engine.run(materialize_requests(items, specs))
+
+
+class TestRecordFreezePin:
+    def test_every_outcome_reached(self, five_outcome_result):
+        outcomes = {r.outcome for r in collect_records(five_outcome_result)}
+        assert outcomes == {"served", "rejected", "shed", "failed", "timed_out"}
+
+    def test_matches_keyword_freeze(self, five_outcome_result):
+        new = collect_records(five_outcome_result)
+        old = _legacy_collect_records(five_outcome_result)
+        assert len(new) == len(old) == 1000
+        assert RequestRecord._fields == tuple(_LegacyRequestRecord.__dataclass_fields__)
+        for a, b in zip(new, old):
+            for name in RequestRecord._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if name in FLOAT_FIELDS and y is not None:
+                    assert float_bits(x) == float_bits(y), name
+                else:
+                    assert x == y, name
+        assert any(r.retries for r in new)
+        assert len({r.alpha for r in new}) == 2
+        # Every pair of outcome buckets shares some arrival time, so any
+        # change to the concatenation order would show in the sort.
+        outcomes_at: dict[float, set[str]] = {}
+        for r in new:
+            outcomes_at.setdefault(r.arrival_ms, set()).add(r.outcome)
+        pairs = set()
+        for tied in outcomes_at.values():
+            pairs |= set(combinations(sorted(tied), 2))
+        assert len(pairs) == 10
+        assert all(r.finish_ms is None for r in new if r.outcome != "served")
+
+    def test_record_is_immutable(self):
+        r = record()
+        with pytest.raises(AttributeError):
+            r.finish_ms = 1.0
+        with pytest.raises(AttributeError):
+            r.outcome = "failed"
+
+    def test_keyword_construction_and_defaults(self):
+        r = RequestRecord(
+            request_id=7, model="m", arrival_ms=1.0, finish_ms=None, ext_ms=2.0
+        )
+        assert (r.preemptions, r.alpha, r.outcome, r.retries) == (0, 1.0, "served", 0)
+        assert r.dropped and r.violates(1e9)
+        assert RequestRecord(7, "m", 1.0, None, 2.0) == r

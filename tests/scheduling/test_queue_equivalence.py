@@ -282,3 +282,134 @@ class TestRunSummaryEdges:
         ]
         assert [r.request_id for r in lhs] == [r.request_id for r in rhs]
         assert lhs._runs_consistent() and rhs._runs_consistent()
+
+
+class TestPremaShortcut:
+    """Deterministic probes of PREMA's candidate shortcut: the in-place
+    heap-root read, the tie path, the zero-wait plateau fallback and the
+    per-task priority cache, each against the list-backed oracle and the
+    full-scan selection."""
+
+    @staticmethod
+    def _counting_heapq(monkeypatch):
+        import heapq
+
+        from repro.scheduling import queue as queue_mod
+
+        pops = []
+
+        class CountingHeapq:
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                pops.append(1)
+                return heapq.heappop(heap)
+
+        monkeypatch.setattr(queue_mod, "heapq", CountingHeapq)
+        return pops
+
+    @staticmethod
+    def _both(*reqs):
+        fast, slow = RequestQueue(), ListBackedRequestQueue()
+        for r in reqs:
+            fast.append(r)
+            slow.append(r)
+        return fast, slow
+
+    @staticmethod
+    def _agree(fast, slow, prema, now):
+        got = fast.min_arrival_candidates()
+        want = slow.min_arrival_candidates()
+        assert sorted(r.request_id for r in got) == sorted(
+            r.request_id for r in want
+        )
+        assert prema.select(fast, now) == _select_scan(slow, now)
+        return got
+
+    def test_ties_with_stale_children_then_in_place_root(self, monkeypatch):
+        short, long_ = TASKS[0], TASKS[4]
+        a1, a2, a3 = (Request(task=short, arrival_ms=0.0) for _ in range(3))
+        a4 = Request(task=short, arrival_ms=1.0)
+        b1 = Request(task=long_, arrival_ms=0.5)
+        fast, slow = self._both(a1, a2, a3, a4, b1)
+        prema = PremaScheduler()
+        pops = self._counting_heapq(monkeypatch)
+
+        # Three live requests share the minimum: the tie path returns all.
+        got = self._agree(fast, slow, prema, 3.0)
+        assert {r.request_id for r in got} >= {a1.request_id, a2.request_id}
+        assert pops, "tie path pops the tied entries"
+
+        # The tied children go stale: the root is live but its children
+        # still carry its arrival time, so the tie path runs and drops them.
+        for r in (a2, a3):
+            fast.remove(r)
+            slow.remove(r)
+        heap = fast._arrival_index[short.name]
+        assert heap[1][0] == heap[0][0] == 0.0
+        pops.clear()
+        got = self._agree(fast, slow, prema, 3.0)
+        assert [r for r in got if r.task is short] == [a1]
+        assert len(pops) == 3  # a1 and both stale twins
+        assert [entry[2] for entry in heap] == [a1, a4]
+
+        # Now the root is the unique minimum: read in place, no pops.
+        pops.clear()
+        before = list(heap)
+        self._agree(fast, slow, prema, 3.0)
+        assert not pops and heap == before
+
+        # A stale root is dropped, then the new root is read in place.
+        fast.remove(a1)
+        slow.remove(a1)
+        pops.clear()
+        got = self._agree(fast, slow, prema, 3.0)
+        assert a4 in got and len(pops) == 1
+
+    def test_tie_in_right_child_only(self):
+        """Pushes at 0.0, 1.0, 0.0 leave the tie in ``heap[2]`` with
+        ``heap[1]`` later: the root is not unique and both ties come back."""
+        reqs = [Request(task=TASKS[1], arrival_ms=t) for t in (0.0, 1.0, 0.0)]
+        fast, slow = self._both(*reqs)
+        got = self._agree(fast, slow, PremaScheduler(), 4.0)
+        heap = fast._arrival_index[TASKS[1].name]
+        assert [entry[0] for entry in heap] == [0.0, 1.0, 0.0]
+        assert got == [reqs[0], reqs[2]]
+
+    def test_plateau_winner_falls_back_to_scan(self):
+        """Zero-wait winners sit on the token plateau, where the within-type
+        order is no longer strict: the first queued request wins the scan
+        even though it is not the type's minimal arrival."""
+        late = Request(task=TASKS[0], arrival_ms=7.0)
+        early = Request(task=TASKS[0], arrival_ms=6.0)
+        other = Request(task=TASKS[4], arrival_ms=6.0)
+        fast, slow = self._both(other, late, early)
+        prema = PremaScheduler()
+        assert early in fast.min_arrival_candidates()
+        assert prema.token(early, 5.0) == 9.0  # PRIORITY_BY_CLASS[SHORT]
+        self._agree(fast, slow, prema, 5.0)
+        assert prema.select(fast, 5.0) == 1  # ``late``, first of the tie
+
+    def test_same_type_name_new_task_spec_re_resolves_priority(self):
+        """One scheduler and queue see type ``x`` first as a SHORT task,
+        then (after those requests leave) as a LONG one: a cached SHORT
+        priority would pick ``x`` over ``y``; the fresh LONG one must not."""
+        x_short = TaskSpec("x", 10.0, (10.0,), RequestClass.SHORT)
+        x_long = TaskSpec("x", 10.0, (10.0,), RequestClass.LONG)
+        y = TaskSpec("y", 20.0, (20.0,), RequestClass.SHORT)
+        prema = PremaScheduler()
+        first = Request(task=x_short, arrival_ms=0.0)
+        fast, slow = self._both(first)
+        assert self._agree(fast, slow, prema, 10.0) == [first]
+        fast.remove(first)
+        slow.remove(first)
+
+        later_y = Request(task=y, arrival_ms=0.0)
+        later_x = Request(task=x_long, arrival_ms=0.0)
+        for r in (later_x, later_y):
+            fast.append(r)
+            slow.append(r)
+        # y: 9 * (1 + 10/20) = 13.5; x as LONG: 3 * 2 = 6 (as SHORT: 18).
+        self._agree(fast, slow, prema, 10.0)
+        assert prema.select(fast, 10.0) == 1

@@ -156,6 +156,10 @@ class ConcurrentEngine:
             result.fault_fails += 1
             req.retries += 1
             mentors.pop(req.request_id, None)
+            # The failed attempt is no longer running: nobody waits on it
+            # (a retry re-admits it with fresh mentors of its own).
+            for waiting_on in mentors.values():
+                waiting_on.discard(req.request_id)
             if cfg.retry.exhausted(req.retries):
                 req.outcome = "failed"
                 result.failed.append(req)

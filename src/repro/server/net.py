@@ -27,10 +27,10 @@ back with one event-loop hop per sink batch and RESULT_BATCH frames on
 binary connections. Each connection's writer coalesces queued frames
 into single socket writes.
 
-``shards=N`` spreads connections over N acceptor loops (SO_REUSEPORT
-kernel steering where the platform has it, an in-process accept-and-
-hand-off loop otherwise). Realtime shards submit into the shared
-thread-safe pipeline; sharded lockstep gives every connection an
+One acceptor on the main loop takes every connection and deals it to
+one of ``shards`` connection loops round-robin (with one shard, every
+connection stays on the main loop). Realtime shards submit into the
+shared thread-safe pipeline; sharded lockstep gives every connection an
 ordered intake lane and a merger thread interleaves the lanes
 deterministically by ``(arrival_ms, task_type)`` (ties break by lane
 registration order) — the blocking merge means every expected lane must
@@ -83,7 +83,7 @@ from repro.server.protocol import (
     ProtocolError,
     encode_frame,
 )
-from repro.server.responder import InferenceHandle
+from repro.server.responder import InferenceHandle, InferenceResult
 from repro.server.server import SplitServer
 
 _EOF = object()
@@ -99,6 +99,11 @@ _MERGE_CHUNK = 1024
 #: connection's HELLO-time model table (deployed after the handshake);
 #: clients render it as an empty model name. Re-HELLO to refresh.
 MODEL_IDX_UNKNOWN = 0xFFFF
+
+_TAG_BACKPRESSURE = TAG_BY_OUTCOME[ERR_BACKPRESSURE]
+_TAG_UNKNOWN_MODEL = TAG_BY_OUTCOME[ERR_UNKNOWN_MODEL]
+_TAG_OUT_OF_ORDER = TAG_BY_OUTCOME[ERR_OUT_OF_ORDER]
+_TAG_BAD_STATE = TAG_BY_OUTCOME[ERR_BAD_STATE]
 
 
 class _IntakeSource:
@@ -337,7 +342,7 @@ class _LaneMerger:
 
 
 class _Shard:
-    """One acceptor loop plus its connections and counters.
+    """One connection loop plus its connections and counters.
 
     Counters live per shard so concurrent loop threads never share a
     read-modify-write; :class:`NetServer` exposes the sums.
@@ -347,7 +352,6 @@ class _Shard:
         "index",
         "loop",
         "thread",
-        "server",
         "conns",
         "tasks",
         "frames_in",
@@ -363,7 +367,6 @@ class _Shard:
         self.index = index
         self.loop = loop
         self.thread: threading.Thread | None = None
-        self.server: asyncio.base_events.Server | None = None
         self.conns: set[_Connection] = set()
         self.tasks: set[asyncio.Task] = set()
         self.frames_in = 0
@@ -465,6 +468,66 @@ class _Connection:
             self.closed = True
 
 
+def _result_record(
+    cid: int,
+    outcome: str,
+    request: Request,
+    result: InferenceResult | None,
+    model_idx: dict[str, int],
+) -> tuple:
+    """One terminal request as a binary result record (both modes)."""
+    midx = model_idx.get(request.task_type, MODEL_IDX_UNKNOWN)
+    plan = request.plan_ms
+    if result is not None:
+        return (
+            cid, 0, midx, result.arrival_ms, result.finish_ms,
+            result.e2e_ms, result.response_ratio,
+            result.preemptions, result.retries, plan,
+        )
+    return (
+        cid, TAG_BY_OUTCOME.get(outcome, _TAG_BAD_STATE), midx,
+        request.arrival_ms, _NAN, _NAN, _NAN, 0, request.retries, plan,
+    )
+
+
+def _result_message(
+    cid: int,
+    outcome: str,
+    request: Request,
+    result: InferenceResult | None,
+    echo: Any,
+) -> tuple[FrameType, dict[str, Any]]:
+    """One terminal request as a JSON RESULT (served) or ERROR frame."""
+    plan = request.plan_ms
+    payload: dict[str, Any]
+    if result is not None:
+        ftype = FrameType.RESULT
+        payload = {
+            "id": cid,
+            "model": result.model,
+            "arrival_ms": result.arrival_ms,
+            "finish_ms": result.finish_ms,
+            "e2e_ms": result.e2e_ms,
+            "response_ratio": result.response_ratio,
+            "preemptions": result.preemptions,
+            "retries": result.retries,
+            "plan_ms": list(plan) if plan is not None else None,
+        }
+    else:
+        ftype = FrameType.ERROR
+        payload = {
+            "id": cid,
+            "code": OUTCOME_CODES.get(outcome, outcome),
+            "model": request.task_type,
+            "arrival_ms": request.arrival_ms,
+            "retries": request.retries,
+            "plan_ms": list(plan) if plan is not None else None,
+        }
+    if echo is not None:
+        payload["echo"] = echo
+    return ftype, payload
+
+
 def _packed_result_frames(records: list[tuple]) -> list[bytes]:
     """Pack result records into RESULT_BATCH frames under a size budget."""
     frames: list[bytes] = []
@@ -489,9 +552,11 @@ class NetServer:
     ``models`` are deployed before the listener opens (zoo names or
     :class:`~repro.graphs.graph.ModelGraph` objects); more can be
     registered over the wire at any time. ``port=0`` binds an ephemeral
-    port, published as :attr:`port` after :meth:`start`.
+    port, published as :attr:`port` after :meth:`start`. A ``host`` that
+    resolves to several addresses binds only the first
+    (``getaddrinfo`` order): one listener, one :attr:`port`.
 
-    ``shards`` spreads connections across that many acceptor loops.
+    ``shards`` spreads connections across that many connection loops.
     Sharded lockstep additionally needs the number of submitting
     connections up front (``lockstep_lanes``, default ``shards``): the
     deterministic lane merge starts once that many lockstep connections
@@ -516,7 +581,6 @@ class NetServer:
         sndbuf: int | None = None,
         shards: int = 1,
         lockstep_lanes: int | None = None,
-        _force_handoff: bool = False,
     ):
         if mode not in ("realtime", "lockstep"):
             raise ServerError(f"unknown serving mode {mode!r}")
@@ -532,7 +596,6 @@ class NetServer:
         self.drain_timeout_s = drain_timeout_s
         self.sndbuf = sndbuf
         self.shards = shards
-        self._force_handoff = _force_handoff
         self.split = SplitServer(
             device=device,
             time_scale=time_scale,
@@ -560,7 +623,6 @@ class NetServer:
                 self._merger = _LaneMerger(self._core, lanes)
         for model in models:
             self.split.deploy(self._resolve_model(model))
-        self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shards: list[_Shard] = []
         self._lsock: socket.socket | None = None
@@ -607,50 +669,33 @@ class NetServer:
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> "NetServer":
+        family, kind, proto, _, addr = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+        )[0]
+        lsock = socket.socket(family, kind, proto)
+        try:
+            lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            lsock.bind(addr)
+            lsock.listen(128)
+            lsock.setblocking(False)
+        except OSError:
+            lsock.close()
+            raise
+        self._lsock = lsock
+        self.port = lsock.getsockname()[1]
         self._loop = asyncio.get_running_loop()
         if self.mode == "realtime":
             self.split.start()
         else:
             assert self._core is not None
             self._core.start()
-        shard0 = _Shard(0, self._loop)
-        self._shards = [shard0]
-        if self.shards == 1:
-            self._server = await asyncio.start_server(
-                self._client_cb(shard0), self.host, self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-        elif self._reuse_port_available():
-            self._server = await asyncio.start_server(
-                self._client_cb(shard0), self.host, self.port, reuse_port=True
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-            for index in range(1, self.shards):
-                shard = self._spawn_shard(index)
-                await asyncio.wrap_future(
-                    asyncio.run_coroutine_threadsafe(
-                        self._open_listener(shard), shard.loop
-                    )
-                )
-        else:
-            # In-process sharding: one raw accept loop hands connected
-            # sockets to the shard loops round-robin.
-            lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            lsock.bind((self.host, self.port))
-            lsock.listen(128)
-            lsock.setblocking(False)
-            self._lsock = lsock
-            self.port = lsock.getsockname()[1]
-            for index in range(1, self.shards):
-                self._spawn_shard(index)
-            self._acceptor = self._loop.create_task(self._accept_loop())
+        self._shards = [_Shard(0, self._loop)]
+        for index in range(1, self.shards):
+            self._spawn_shard(index)
+        self._acceptor = self._loop.create_task(self._accept_loop())
         return self
 
-    def _reuse_port_available(self) -> bool:
-        return hasattr(socket, "SO_REUSEPORT") and not self._force_handoff
-
-    def _spawn_shard(self, index: int) -> _Shard:
+    def _spawn_shard(self, index: int) -> None:
         loop = asyncio.new_event_loop()
         shard = _Shard(index, loop)
         shard.thread = threading.Thread(
@@ -660,22 +705,9 @@ class NetServer:
         )
         shard.thread.start()
         self._shards.append(shard)
-        return shard
-
-    async def _open_listener(self, shard: _Shard) -> None:
-        shard.server = await asyncio.start_server(
-            self._client_cb(shard), self.host, self.port, reuse_port=True
-        )
-
-    def _client_cb(self, shard: _Shard):
-        async def cb(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            await self._serve_connection(shard, reader, writer)
-
-        return cb
 
     async def _accept_loop(self) -> None:
+        """Deal accepted sockets to the shard loops round-robin."""
         assert self._loop is not None and self._lsock is not None
         rr = itertools.cycle(self._shards)
         try:
@@ -683,27 +715,15 @@ class NetServer:
                 sock, _addr = await self._loop.sock_accept(self._lsock)
                 shard = next(rr)
                 if shard.loop is self._loop:
-                    self._loop.create_task(self._adopt(shard, sock))
+                    self._loop.create_task(self._serve_connection(shard, sock))
                 else:
                     asyncio.run_coroutine_threadsafe(
-                        self._adopt(shard, sock), shard.loop
+                        self._serve_connection(shard, sock), shard.loop
                     )
         except (asyncio.CancelledError, OSError):
             pass
 
-    async def _adopt(self, shard: _Shard, sock: socket.socket) -> None:
-        try:
-            reader, writer = await asyncio.open_connection(sock=sock)
-        except OSError:
-            sock.close()
-            return
-        await self._serve_connection(shard, reader, writer)
-
     async def _shutdown_shard(self, shard: _Shard) -> None:
-        if shard.server is not None:
-            shard.server.close()
-            await shard.server.wait_closed()
-            shard.server = None
         for conn in list(shard.conns):
             conn.closed = True
             try:
@@ -727,10 +747,6 @@ class NetServer:
         if self._lsock is not None:
             self._lsock.close()
             self._lsock = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for shard in self._shards:
             if shard.thread is None:
                 await self._shutdown_shard(shard)
@@ -764,11 +780,8 @@ class NetServer:
         await self.stop()
 
     async def serve_forever(self) -> None:
-        if self._acceptor is not None:
-            await self._acceptor
-            return
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
+        assert self._acceptor is not None, "call start() first"
+        await self._acceptor
 
     # ---------------------------------------------------------------- stats
     def stats(self) -> dict[str, Any]:
@@ -800,22 +813,23 @@ class NetServer:
         return out
 
     # ----------------------------------------------------------- connection
-    async def _serve_connection(
-        self,
-        shard: _Shard,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        if self.sndbuf is not None:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
+    async def _serve_connection(self, shard: _Shard, sock: socket.socket) -> None:
+        # Registered before the first await, so a stop() that runs after
+        # this task was dealt still finds and cancels it.
+        task = asyncio.current_task()
+        assert task is not None
+        shard.tasks.add(task)
+        try:
+            if self.sndbuf is not None:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf)
+            reader, writer = await asyncio.open_connection(sock=sock)
+        except (OSError, asyncio.CancelledError):
+            shard.tasks.discard(task)
+            sock.close()
+            return
         conn = _Connection(shard, self, writer)
         shard.conns.add(conn)
         shard.connections_total += 1
-        task = asyncio.current_task()
-        if task is not None:
-            shard.tasks.add(task)
         writer_task = asyncio.get_running_loop().create_task(conn.writer_loop())
         decoder = conn.decoder
         try:
@@ -845,8 +859,7 @@ class NetServer:
         except asyncio.CancelledError:
             pass  # server teardown: exit cleanly, cleanup below
         finally:
-            if task is not None:
-                shard.tasks.discard(task)
+            shard.tasks.discard(task)
             conn.closed = True
             if conn.lane is not None:
                 # A vanished connection must not stall the lane merge.
@@ -1063,88 +1076,60 @@ class NetServer:
         self, conn: _Connection, records: list[tuple]
     ) -> None:
         """Binary INFER / INFER_BATCH: ``(cid, model_idx, arrival_ms)``
-        records. Per-record refusals (backpressure, unknown model,
-        out-of-order) come back as tagged result records; accepted
-        lockstep records land on the engine intake as one chunk."""
+        records, checked in order: backpressure, unknown model, then (in
+        lockstep) the arrival stamp and its ordering. Refusals come back
+        as tagged result records; accepted lockstep records land on the
+        engine intake as one chunk. Realtime stamps every record with
+        the clock's now and submits the accepted ones as one batch."""
         shard = conn.shard
         specs = conn.model_specs
         cap = self.max_inflight
         inflight = conn.inflight
-        nacks: list[tuple] = []
-        if self.mode == "lockstep":
-            times: list[float] = []
-            requests: list[Request] = []
-            cids: list[int] = []
+        lockstep = self.mode == "lockstep"
+        if lockstep:
             last = self._lockstep_last_ms(conn)
-            for cid, midx, arrival in records:
-                if inflight >= cap:
-                    shard.backpressure_rejections += 1
-                    nacks.append(
-                        (cid, _TAG_BACKPRESSURE, midx, arrival,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                if midx >= len(specs):
-                    nacks.append(
-                        (cid, _TAG_UNKNOWN_MODEL, midx, arrival,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                if arrival != arrival or arrival < 0:  # NaN needs a stamp
-                    self._protocol_nack(
-                        conn,
-                        cid,
-                        "lockstep infer needs a nonnegative arrival_ms",
-                    )
-                    continue
-                if last is None or arrival < last:
-                    tag = (
-                        _TAG_BAD_STATE if last is None else _TAG_OUT_OF_ORDER
-                    )
-                    nacks.append(
-                        (cid, tag, midx, arrival,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
+        else:
+            now = self.split.clock.now_ms()
+        nacks: list[tuple] = []
+        times: list[float] = []
+        requests: list[Request] = []
+        cids: list[int] = []
+        for cid, midx, arrival in records:
+            if not lockstep:
+                arrival = now
+            if inflight >= cap:
+                shard.backpressure_rejections += 1
+                tag = _TAG_BACKPRESSURE
+            elif midx >= len(specs):
+                tag = _TAG_UNKNOWN_MODEL
+            elif lockstep and (arrival != arrival or arrival < 0):
+                # (arrival != arrival catches NaN)
+                self._protocol_nack(
+                    conn, cid, "lockstep infer needs a nonnegative arrival_ms"
+                )
+                continue
+            elif lockstep and (last is None or arrival < last):
+                tag = _TAG_BAD_STATE if last is None else _TAG_OUT_OF_ORDER
+            else:
                 last = arrival
                 inflight += 1
                 times.append(arrival)
                 requests.append(Request(task=specs[midx], arrival_ms=arrival))
                 cids.append(cid)
-            conn.inflight = inflight
-            if times:
-                pending = self._pending
-                for request, cid in zip(requests, cids):
-                    pending[request.request_id] = (conn, cid, None)
-                self._submit_lockstep(conn, times, requests)
-        else:
-            accepted: list[Request] = []
-            acc_cids: list[int] = []
-            now = self.split.clock.now_ms()
-            for cid, midx, arrival in records:
-                if inflight >= cap:
-                    shard.backpressure_rejections += 1
-                    nacks.append(
-                        (cid, _TAG_BACKPRESSURE, midx, now,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                if midx >= len(specs):
-                    nacks.append(
-                        (cid, _TAG_UNKNOWN_MODEL, midx, now,
-                         _NAN, _NAN, _NAN, 0, 0, None)
-                    )
-                    continue
-                inflight += 1
-                accepted.append(Request(task=specs[midx], arrival_ms=now))
-                acc_cids.append(cid)
-            conn.inflight = inflight
-            if accepted:
-                handles = self.split.submit_batch(accepted, now)
-                for handle, cid in zip(handles, acc_cids):
-                    handle.add_done_callback(
-                        lambda h, conn=conn, cid=cid: self._bridge(conn, cid, h)
-                    )
+                continue
+            nacks.append((cid, tag, midx, arrival, _NAN, _NAN, _NAN, 0, 0, None))
+        conn.inflight = inflight
+        if requests and lockstep:
+            pending = self._pending
+            for request, cid in zip(requests, cids):
+                pending[request.request_id] = (conn, cid, None)
+            self._submit_lockstep(conn, times, requests)
+        elif requests:
+            handles = self.split.submit_batch(requests, now)
+            for handle, cid in zip(handles, cids):
+                handle.add_done_callback(
+                    lambda h, conn=conn, cid=cid: self._bridge(conn, cid, h)
+                )
         if nacks:
             for frame in _packed_result_frames(nacks):
                 conn.send_bytes(frame)
@@ -1158,75 +1143,31 @@ class NetServer:
         loop per sink batch."""
         results = self.split.responder.settle_batch(requests, outcomes)
         pending = self._pending
-        # conn -> (json frame list) or (binary record list), in terminal
-        # order; per-connection frame order is the determinism contract.
-        json_frames: dict[_Connection, list[bytes]] = {}
-        bin_records: dict[_Connection, list[tuple]] = {}
-        counts: dict[_Connection, int] = {}
+        # conn -> binary records or JSON frames, in terminal order;
+        # per-connection frame order is the determinism contract.
+        replies: dict[_Connection, list] = {}
         for request, outcome, result in zip(requests, outcomes, results):
             entry = pending.pop(request.request_id, None)
             if entry is None:
                 continue
             conn, cid, echo = entry
-            counts[conn] = counts.get(conn, 0) + 1
-            plan = request.plan_ms
             if conn.binary:
-                midx = conn.model_idx.get(
-                    request.task_type, MODEL_IDX_UNKNOWN
+                reply: Any = _result_record(
+                    cid, outcome, request, result, conn.model_idx
                 )
-                if result is not None:
-                    record = (
-                        cid, 0, midx,
-                        result.arrival_ms, result.finish_ms,
-                        result.e2e_ms, result.response_ratio,
-                        result.preemptions, result.retries, plan,
-                    )
-                else:
-                    record = (
-                        cid, TAG_BY_OUTCOME[outcome], midx,
-                        request.arrival_ms, _NAN, _NAN, _NAN,
-                        0, request.retries, plan,
-                    )
-                bin_records.setdefault(conn, []).append(record)
             else:
-                if result is not None:
-                    payload: dict[str, Any] = {
-                        "id": cid,
-                        "model": result.model,
-                        "arrival_ms": result.arrival_ms,
-                        "finish_ms": result.finish_ms,
-                        "e2e_ms": result.e2e_ms,
-                        "response_ratio": result.response_ratio,
-                        "preemptions": result.preemptions,
-                        "retries": result.retries,
-                        "plan_ms": list(plan) if plan is not None else None,
-                    }
-                    if echo is not None:
-                        payload["echo"] = echo
-                    frame = encode_frame(FrameType.RESULT, payload)
-                else:
-                    payload = {
-                        "id": cid,
-                        "code": OUTCOME_CODES.get(outcome, outcome),
-                        "model": request.task_type,
-                        "arrival_ms": request.arrival_ms,
-                        "retries": request.retries,
-                        "plan_ms": list(plan) if plan is not None else None,
-                    }
-                    if echo is not None:
-                        payload["echo"] = echo
-                    frame = encode_frame(FrameType.ERROR, payload)
-                json_frames.setdefault(conn, []).append(frame)
+                reply = encode_frame(
+                    *_result_message(cid, outcome, request, result, echo)
+                )
+            replies.setdefault(conn, []).append(reply)
         # One call_soon_threadsafe per shard loop per sink batch.
         by_loop: dict[
             asyncio.AbstractEventLoop,
             list[tuple[_Connection, list[bytes], int]],
         ] = {}
-        for conn, count in counts.items():
-            frames = json_frames.get(conn)
-            if frames is None:
-                frames = _packed_result_frames(bin_records[conn])
-            by_loop.setdefault(conn.loop, []).append((conn, frames, count))
+        for conn, items in replies.items():
+            frames = _packed_result_frames(items) if conn.binary else items
+            by_loop.setdefault(conn.loop, []).append((conn, frames, len(items)))
         for loop, entries in by_loop.items():
             try:
                 loop.call_soon_threadsafe(self._flush_deliveries, entries)
@@ -1281,55 +1222,13 @@ class NetServer:
         if conn.closed:
             conn.shard.orphaned_results += 1
             return
-        plan = handle.plan_ms
+        request, outcome = handle._request, handle.outcome
+        result = handle.result_or_none
         if conn.binary:
-            req = handle._request
-            res = handle.result_or_none
-            midx = conn.model_idx.get(req.task_type, MODEL_IDX_UNKNOWN)
-            if res is not None:
-                record = (
-                    cid, 0, midx, res.arrival_ms, res.finish_ms,
-                    res.e2e_ms, res.response_ratio,
-                    res.preemptions, res.retries, plan,
-                )
-            else:
-                record = (
-                    cid, TAG_BY_OUTCOME.get(handle.outcome, _TAG_BAD_STATE),
-                    midx, req.arrival_ms, _NAN, _NAN, _NAN,
-                    0, req.retries, plan,
-                )
+            record = _result_record(cid, outcome, request, result, conn.model_idx)
             conn.send_bytes(BinaryCodecV2.encode_result(record))
-            return
-        if handle.outcome == "served":
-            res = handle.result_or_none
-            assert res is not None
-            payload: dict[str, Any] = {
-                "id": cid,
-                "model": res.model,
-                "arrival_ms": res.arrival_ms,
-                "finish_ms": res.finish_ms,
-                "e2e_ms": res.e2e_ms,
-                "response_ratio": res.response_ratio,
-                "preemptions": res.preemptions,
-                "retries": res.retries,
-                "plan_ms": list(plan) if plan is not None else None,
-            }
-            if echo is not None:
-                payload["echo"] = echo
-            conn.send(FrameType.RESULT, payload)
         else:
-            req = handle._request
-            payload = {
-                "id": cid,
-                "code": OUTCOME_CODES.get(handle.outcome, handle.outcome),
-                "model": req.task_type,
-                "arrival_ms": req.arrival_ms,
-                "retries": req.retries,
-                "plan_ms": list(plan) if plan is not None else None,
-            }
-            if echo is not None:
-                payload["echo"] = echo
-            conn.send(FrameType.ERROR, payload)
+            conn.send(*_result_message(cid, outcome, request, result, echo))
 
     async def _handle_register(
         self, conn: _Connection, payload: dict[str, Any]
@@ -1436,12 +1335,6 @@ class NetServer:
                 )
                 return
         conn.send(FrameType.ACK, {"id": cid, "drained": True})
-
-
-_TAG_BACKPRESSURE = TAG_BY_OUTCOME[ERR_BACKPRESSURE]
-_TAG_UNKNOWN_MODEL = TAG_BY_OUTCOME[ERR_UNKNOWN_MODEL]
-_TAG_OUT_OF_ORDER = TAG_BY_OUTCOME[ERR_OUT_OF_ORDER]
-_TAG_BAD_STATE = TAG_BY_OUTCOME[ERR_BAD_STATE]
 
 
 # ------------------------------------------------------------------ CLI

@@ -35,6 +35,20 @@ class InferenceResult:
     preemptions: int
     retries: int = 0
 
+    @classmethod
+    def of(cls, request: Request, finish_ms: float) -> "InferenceResult":
+        """The result of ``request`` served at ``finish_ms``."""
+        return cls(
+            request_id=request.request_id,
+            model=request.task_type,
+            arrival_ms=request.arrival_ms,
+            finish_ms=finish_ms,
+            e2e_ms=finish_ms - request.arrival_ms,
+            response_ratio=(finish_ms - request.arrival_ms) / request.ext_ms,
+            preemptions=request.preemptions,
+            retries=request.retries,
+        )
+
 
 class InferenceHandle:
     """Future-like handle for one submitted request."""
@@ -121,6 +135,10 @@ class InferenceHandle:
         return self._result
 
 
+#: Terminal outcomes other than "served"; each names its own counter.
+_UNHAPPY = ("rejected", "shed", "failed", "timed_out")
+
+
 class Responder:
     """Tracks in-flight handles and resolves them on terminal outcomes."""
 
@@ -144,47 +162,38 @@ class Responder:
         with self._lock:
             return self._pending.pop(request.request_id, None)
 
+    def _count(self, outcome: str) -> None:
+        # Each unhappy outcome's counter is the attribute of that name.
+        if outcome not in _UNHAPPY:
+            raise ServerError(f"unknown terminal outcome {outcome!r}")
+        setattr(self, outcome, getattr(self, outcome) + 1)
+
+    def _drop(self, request: Request, outcome: str) -> None:
+        handle = self._retire(request, outcome)
+        if handle is not None:
+            self._count(outcome)
+            handle._resolve(outcome)
+
     def reject(self, request: Request) -> None:
         """Admission control turned the request away at submit time."""
-        handle = self._retire(request, "rejected")
-        if handle is not None:
-            self.rejected += 1
-            handle._resolve("rejected")
+        self._drop(request, "rejected")
 
     def drop_shed(self, request: Request) -> None:
         """Overload shedding evicted the request from the queue."""
-        handle = self._retire(request, "shed")
-        if handle is not None:
-            self.shed += 1
-            handle._resolve("shed")
+        self._drop(request, "shed")
 
     def fail(self, request: Request) -> None:
         """Fault injection dropped the request or exhausted its retries."""
-        handle = self._retire(request, "failed")
-        if handle is not None:
-            self.failed += 1
-            handle._resolve("failed")
+        self._drop(request, "failed")
 
     def timeout(self, request: Request, now_ms: float | None = None) -> None:
         """The request missed its deadline (queued, parked, or finished
         too late)."""
-        handle = self._retire(request, "timed_out")
-        if handle is not None:
-            self.timed_out += 1
-            handle._resolve("timed_out")
+        self._drop(request, "timed_out")
 
     def resolve(self, request: Request, finish_ms: float) -> None:
         """Completion callback for the token assigner."""
-        result = InferenceResult(
-            request_id=request.request_id,
-            model=request.task_type,
-            arrival_ms=request.arrival_ms,
-            finish_ms=finish_ms,
-            e2e_ms=finish_ms - request.arrival_ms,
-            response_ratio=(finish_ms - request.arrival_ms) / request.ext_ms,
-            preemptions=request.preemptions,
-            retries=request.retries,
-        )
+        result = InferenceResult.of(request, finish_ms)
         handle = self._retire(request, "served")
         with self._lock:
             self.completed.append(result)
@@ -219,30 +228,11 @@ class Responder:
                 handle = self._pending.pop(request.request_id, None)
                 result: InferenceResult | None = None
                 if outcome == "served":
-                    finish = request.finish_ms
-                    assert finish is not None
-                    result = InferenceResult(
-                        request_id=request.request_id,
-                        model=request.task_type,
-                        arrival_ms=request.arrival_ms,
-                        finish_ms=finish,
-                        e2e_ms=finish - request.arrival_ms,
-                        response_ratio=(finish - request.arrival_ms)
-                        / request.ext_ms,
-                        preemptions=request.preemptions,
-                        retries=request.retries,
-                    )
+                    assert request.finish_ms is not None
+                    result = InferenceResult.of(request, request.finish_ms)
                     self.completed.append(result)
-                elif outcome == "rejected":
-                    self.rejected += 1
-                elif outcome == "shed":
-                    self.shed += 1
-                elif outcome == "failed":
-                    self.failed += 1
-                elif outcome == "timed_out":
-                    self.timed_out += 1
                 else:
-                    raise ServerError(f"unknown terminal outcome {outcome!r}")
+                    self._count(outcome)
                 results.append(result)
                 if handle is not None:
                     resolutions.append((handle, outcome, result))

@@ -8,12 +8,15 @@ six Table-2 scenarios x three seeds x ``aligned`` x ``alignment_barrier``
 x {no robustness, fail/stall/drop faults with retries and deadlines,
 stall/drop faults with deadlines}.
 
-With the barrier on, a retried request is re-admitted with the requests
-that joined during its failed attempt as fresh mentors, while they still
-count it as theirs; the pair then waits on each other and both engines
-raise the same "alignment barrier deadlock". That cell is compared as is
-(same exception on both sides); the fail-free config keeps the barrier's
-fault paths covered to completion.
+One cell is compared only where the frozen loop completes: the barrier
+with retried failures. The frozen loop kept a failed request in the
+mentor sets of the requests that joined during its failed attempt; its
+retry was re-admitted with those requests as mentors of its own, the
+pair waited on each other and the run raised "alignment barrier
+deadlock" (30 of that cell's 36 runs). The current loop drops a failed
+attempt from every mentor set, so those runs must instead complete with
+exactly one terminal outcome per request; the runs the frozen loop did
+complete must still match it.
 """
 
 from __future__ import annotations
@@ -98,10 +101,15 @@ def test_rta_loop_matches_legacy(specs, scenario, seed, aligned, barrier, config
     items = WorkloadGenerator(EVALUATED_MODELS, seed=seed).generate(sc)
     robustness = CONFIGS[config]
     new = _run(ConcurrentEngine, items, specs, aligned, barrier, robustness)
+    assert new[0] != "raised", new
     old = _run(LegacyConcurrentEngine, items, specs, aligned, barrier, robustness)
-    assert new == old
-    if not (barrier and config == "chaos"):
-        assert new[0] != "raised"
+    if barrier and config == "chaos" and old[0] == "raised":
+        buckets, _, outcomes, _, _ = new
+        settled = sorted(i for members in buckets.values() for i in members)
+        assert settled == list(range(len(items)))  # one bucket each
+        assert "pending" not in outcomes
+    else:
+        assert new == old
 
 
 def test_fault_configs_exercise_their_paths(specs):

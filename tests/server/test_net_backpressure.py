@@ -67,12 +67,16 @@ async def _attack():
             # Firehose ~400 KiB of padded infers without ever reading.
             await loop.run_in_executor(None, hostile.sendall, _flood_blob())
 
-            # Wait until the slow reader's queue demonstrably overflowed
-            # and the in-flight cap demonstrably refused work.
+            # Wait until the slow reader's queue demonstrably overflowed,
+            # the in-flight cap demonstrably refused work, and the server
+            # has consumed the whole flood. Only the hostile connection
+            # is open and INFER dispatch is synchronous, so every flood
+            # frame counted in has already been admitted or refused.
             deadline = loop.time() + 30
             while (
                 server.results_dropped == 0
                 or server.backpressure_rejections == 0
+                or server.frames_in < N_FLOOD
             ):
                 if loop.time() > deadline:
                     break

@@ -1,18 +1,19 @@
-"""Sharded front-end: N acceptor loops, one protocol, one truth.
+"""Sharded front-end: N connection loops, one protocol, one truth.
 
-Realtime sharding is pure throughput plumbing — connections spread over
-shard loops (SO_REUSEPORT kernel steering, or the in-process hand-off
-acceptor when forced), every counter still adds up, every request still
-resolves. Lockstep sharding must additionally keep the determinism
-contract: per-connection intake lanes are merged by ``(arrival_ms,
-task_type)`` before the kernel sees them, so a trace split across two
-sockets settles float-identically to :func:`simulate` on the whole
-trace — order *within* each connection's result stream included.
+Realtime sharding is pure throughput plumbing — one acceptor deals
+connections over the shard loops round-robin, every counter still adds
+up, every request still resolves. Lockstep sharding must additionally
+keep the determinism contract: per-connection intake lanes are merged
+by ``(arrival_ms, task_type)`` before the kernel sees them, so a trace
+split across two sockets settles float-identically to :func:`simulate`
+on the whole trace — order *within* each connection's result stream
+included.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import pytest
 
@@ -35,17 +36,14 @@ def _items():
 
 
 # ---------------------------------------------------------------- realtime
-def _realtime_fanout(force_handoff: bool) -> None:
+def test_realtime_shards_handoff_fallback():
+    """The hand-off acceptor — once the fallback, now the only accept
+    path — deals connections over both shard loops and loses nothing."""
     n_conns = 8
     per_conn = 20
 
     async def run():
-        server = NetServer(
-            models=MODELS,
-            mode="realtime",
-            shards=2,
-            _force_handoff=force_handoff,
-        )
+        server = NetServer(models=MODELS, mode="realtime", shards=2)
         async with server:
             clients = [
                 await AsyncNetClient.connect("127.0.0.1", server.port)
@@ -70,23 +68,90 @@ def _realtime_fanout(force_handoff: bool) -> None:
             # Conservation across shards: every request came back.
             received = sum(len(c.received) for c in clients)
             assert received == n_conns * per_conn
-            if force_handoff:
-                # Round-robin hand-off provably uses both shard loops
-                # (kernel REUSEPORT steering cannot be asserted on).
-                assert all(
-                    s.connections_total > 0 for s in server._shards
-                )
+            # The round-robin deal provably uses both shard loops.
+            assert all(s.connections_total > 0 for s in server._shards)
         assert server.split.responder.in_flight() == 0
 
     asyncio.run(run())
 
 
+@pytest.mark.skipif(
+    not hasattr(socket, "SO_REUSEPORT"), reason="no SO_REUSEPORT"
+)
 def test_realtime_shards_reuseport():
-    _realtime_fanout(force_handoff=False)
+    """Sharding no longer opens per-shard ``SO_REUSEPORT`` listeners:
+    the one listener does not share its port, so a reuse-port socket
+    cannot bind beside it, and the server keeps serving on both shards."""
+
+    async def run():
+        server = NetServer(models=MODELS, mode="realtime", shards=2)
+        async with server:
+            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            try:
+                probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+                with pytest.raises(OSError):
+                    probe.bind(("127.0.0.1", server.port))
+            finally:
+                probe.close()
+            clients = [
+                await AsyncNetClient.connect("127.0.0.1", server.port)
+                for _ in range(2)
+            ]
+            try:
+                results = await asyncio.gather(
+                    *(client.infer(MODELS[0]) for client in clients)
+                )
+                stats = await clients[0].stats()
+            finally:
+                for client in clients:
+                    await client.close()
+            assert [r.outcome for r in results] == ["served", "served"]
+            assert stats["net"]["shards"] == 2
+            assert all(s.connections_total > 0 for s in server._shards)
+        assert server.split.responder.in_flight() == 0
+
+    asyncio.run(run())
 
 
-def test_realtime_shards_handoff_fallback():
-    _realtime_fanout(force_handoff=True)
+def _ipv6_loopback() -> bool:
+    if not socket.has_ipv6:
+        return False
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_STREAM) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        "127.0.0.1",
+        pytest.param(
+            "::1",
+            marks=pytest.mark.skipif(
+                not _ipv6_loopback(), reason="no IPv6 loopback"
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_serves_on_host_family(host, shards):
+    """The listener binds in the host's own address family, whatever
+    the shard count."""
+
+    async def run():
+        server = NetServer(models=MODELS, host=host, shards=shards)
+        async with server:
+            client = await AsyncNetClient.connect(host, server.port)
+            try:
+                result = await client.infer(MODELS[0])
+            finally:
+                await client.close()
+        return result
+
+    assert asyncio.run(run()).outcome == "served"
 
 
 # ---------------------------------------------------------------- lockstep

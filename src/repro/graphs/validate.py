@@ -1,17 +1,21 @@
 """Structural validation for model graphs.
 
 Builders construct graphs incrementally with per-op checks; this module adds
-whole-graph invariants (acyclicity via networkx, reachability, topological
-order of the stored list) that are cheap enough to run in tests and at
-deserialisation time.
+whole-graph invariants (topological order of the stored list, which implies
+acyclicity, and reachability from the graph inputs) that are cheap enough to
+run in tests and at deserialisation time. Both are single passes over the
+stored order; networkx is imported only by :func:`to_networkx`.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
 from repro.graphs.graph import ModelGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def to_networkx(graph: ModelGraph) -> nx.DiGraph:
@@ -20,6 +24,8 @@ def to_networkx(graph: ModelGraph) -> nx.DiGraph:
     Node keys are operator indices; edges carry the tensor name that induces
     the dependency.
     """
+    import networkx as nx
+
     g = nx.DiGraph(name=graph.name)
     g.add_nodes_from(range(len(graph)))
     prod = graph.producer
@@ -36,8 +42,8 @@ def validate_graph(graph: ModelGraph) -> None:
     Invariants:
 
     * at least one operator and one graph input;
-    * the stored operator order is topological (every edge goes forward);
-    * the dependency DAG is acyclic and weakly connected;
+    * the stored operator order is topological (every edge goes forward),
+      so the dependency graph is acyclic;
     * every operator is reachable from some graph input;
     * at least one graph output exists.
     """
@@ -62,22 +68,18 @@ def validate_graph(graph: ModelGraph) -> None:
                     f"{graph.name}: {op.name!r} consumes undefined tensor {t.name!r}"
                 )
 
-    g = to_networkx(graph)
-    if not nx.is_directed_acyclic_graph(g):  # defensive; order check implies it
-        raise GraphError(f"{graph.name}: dependency graph has a cycle")
-
-    # Reachability from inputs: an op is fed by the input if any of its
-    # transitive predecessors consumes a graph input tensor.
-    roots = {
-        j
-        for j, op in enumerate(graph.operators)
-        if any(t.name in input_names for t in op.inputs)
-    }
-    if not roots:
+    # Reachability from inputs: an op is fed by the input if it consumes a
+    # graph input tensor or any of its producers is fed. The stored order
+    # is topological (checked above), so one forward pass settles it.
+    reachable: set[int] = set()
+    for j, op in enumerate(graph.operators):
+        if any(
+            t.name in input_names or prod.get(t.name) in reachable
+            for t in op.inputs
+        ):
+            reachable.add(j)
+    if not reachable:
         raise GraphError(f"{graph.name}: no operator consumes a graph input")
-    reachable = set(roots)
-    for r in roots:
-        reachable.update(nx.descendants(g, r))
     unreachable = set(range(len(graph))) - reachable
     if unreachable:
         names = [graph.operators[i].name for i in sorted(unreachable)][:5]

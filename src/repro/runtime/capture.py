@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from repro.runtime.kernel import EngineResult
 from repro.scheduling.request import Request
@@ -98,22 +98,48 @@ def float_bits(value: float) -> bytes:
     return struct.pack("!d", value)
 
 
-def _summary_bits(summary: ReplaySummary) -> list[tuple[str, bytes]]:
-    """Every float in a summary as (label, bit-pattern), in a canonical
-    order, with keys' floats included — the full bit-level footprint."""
-    out: list[tuple[str, bytes]] = []
+_OUTCOMES = ("served", "rejected", "shed", "failed", "timed_out")
+
+#: One float slot of a summary: its label's parts and its value. Slots
+#: that compare equal on ``(section, task, index)`` have equal labels.
+_Slot = tuple[str, str, int, float, float]
+
+
+def _float_slots(summary: ReplaySummary) -> int:
+    """How many floats :func:`_slots` yields for ``summary``."""
+    return (
+        len(summary.order)
+        + len(summary.finishes)
+        + sum(1 + len(plan) for _, plan in summary.plans)
+        + summary.n_observed
+    )
+
+
+def _slots(summary: ReplaySummary) -> Iterator[_Slot]:
+    """Every float in a summary, keys' floats included, in a canonical
+    order: ``(section, task, index, key arrival, value)``."""
     for i, (task, arrival) in enumerate(summary.order):
-        out.append((f"order[{i}]={task}", float_bits(arrival)))
+        yield "order", task, i, arrival, arrival
     for i, finish in enumerate(summary.finishes):
-        out.append((f"finishes[{i}]", float_bits(finish)))
+        yield "finishes", "", i, 0.0, finish
     for (task, arrival), plan in summary.plans:
-        out.append((f"plan-key {task}", float_bits(arrival)))
+        yield "plan-key", task, -1, arrival, arrival
         for j, block in enumerate(plan):
-            out.append((f"plan {task}@{arrival!r}[{j}]", float_bits(block)))
-    for outcome in ("served", "rejected", "shed", "failed", "timed_out"):
+            yield "plan", task, j, arrival, block
+    for outcome in _OUTCOMES:
         for task, arrival in sorted(getattr(summary, outcome)):
-            out.append((f"{outcome} {task}", float_bits(arrival)))
-    return out
+            yield outcome, task, -1, arrival, arrival
+
+
+def _label(slot: _Slot) -> str:
+    section, task, index, arrival, _ = slot
+    if section == "order":
+        return f"order[{index}]={task}"
+    if section == "finishes":
+        return f"finishes[{index}]"
+    if section == "plan":
+        return f"plan {task}@{arrival!r}[{index}]"
+    return f"{section} {task}"
 
 
 def assert_bits_identical(wire: ReplaySummary, ref: ReplaySummary) -> None:
@@ -123,17 +149,29 @@ def assert_bits_identical(wire: ReplaySummary, ref: ReplaySummary) -> None:
     ``0.0`` the same and can never match NaNs, whereas a wire codec that
     preserves every double exactly must reproduce the *bit patterns*.
     Raises AssertionError naming the first diverging value.
+
+    Both summaries are walked in lockstep, so the comparison allocates
+    nothing that grows with the trace; a label is built only for the
+    first divergence.
     """
-    a, b = _summary_bits(wire), _summary_bits(ref)
-    if len(a) != len(b):
+    n_a, n_b = _float_slots(wire), _float_slots(ref)
+    if n_a != n_b:
         raise AssertionError(
-            f"summaries differ in shape: {len(a)} vs {len(b)} float slots"
+            f"summaries differ in shape: {n_a} vs {n_b} float slots"
         )
-    for (label_a, bits_a), (label_b, bits_b) in zip(a, b):
-        if label_a != label_b or bits_a != bits_b:
+    for a, b in zip(_slots(wire), _slots(ref)):
+        # A plan block's label also names its key's arrival, which the
+        # plan-key slot just before it has already matched bit for bit.
+        if (
+            a[0] != b[0]
+            or a[1] != b[1]
+            or a[2] != b[2]
+            or float_bits(a[4]) != float_bits(b[4])
+        ):
             raise AssertionError(
-                f"float bits diverge at {label_a!r}: "
-                f"{bits_a.hex()} != {bits_b.hex()} ({label_b!r})"
+                f"float bits diverge at {_label(a)!r}: "
+                f"{float_bits(a[4]).hex()} != {float_bits(b[4]).hex()} "
+                f"({_label(b)!r})"
             )
 
 

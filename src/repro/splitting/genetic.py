@@ -25,7 +25,7 @@ from repro.splitting.exhaustive import evaluate_cut_matrix
 from repro.splitting.fitness import fitness
 from repro.splitting.partition import Partition
 from repro.splitting.search_space import (
-    _repair_row,
+    _repair_cuts,
     sample_cuts_observation_guided,
     sample_cuts_uniform,
 )
@@ -193,41 +193,6 @@ class GeneticSplitter:
             )
         return np.vstack(parts)
 
-    def _select_parent(
-        self, rng: np.random.Generator, pop: np.ndarray, fit: np.ndarray
-    ) -> np.ndarray:
-        """Tournament selection (robust to the fitness's negative range)."""
-        idx = rng.integers(0, len(pop), size=self.config.tournament_size)
-        return pop[idx[np.argmax(fit[idx])]]
-
-    def _crossover(
-        self,
-        rng: np.random.Generator,
-        a: np.ndarray,
-        b: np.ndarray,
-        n_ops: int,
-    ) -> np.ndarray:
-        """Single-point crossover on the sorted chromosome, with repair."""
-        k = len(a)
-        if k == 1:
-            child = a.copy() if rng.random() < 0.5 else b.copy()
-            return child
-        point = int(rng.integers(1, k))
-        child = np.concatenate([a[:point], b[point:]])
-        return _repair_row(rng, child, n_ops)
-
-    def _mutate(
-        self, rng: np.random.Generator, row: np.ndarray, n_ops: int
-    ) -> np.ndarray:
-        """Perturb each gene locally with probability ``mutation_prob``."""
-        cfg = self.config
-        mask = rng.random(len(row)) < cfg.mutation_prob
-        if not mask.any():
-            return row
-        steps = rng.integers(-cfg.mutation_step, cfg.mutation_step + 1, len(row))
-        mutated = row + np.where(mask, steps, 0)
-        return _repair_row(rng, mutated, n_ops)
-
     def _next_generation(
         self,
         rng: np.random.Generator,
@@ -235,16 +200,49 @@ class GeneticSplitter:
         fit: np.ndarray,
         n_ops: int,
     ) -> np.ndarray:
+        """Elites, then tournament-selected children: single-point
+        crossover and local mutation, each repaired to distinct cuts.
+
+        A chromosome holds only ``m - 1`` genes, so the child loop runs
+        over Python lists; numpy calls on arrays that small cost more
+        than the work they do.
+        """
         cfg = self.config
-        n_elite = max(1, int(round(cfg.elite_fraction * len(pop))))
+        n = len(pop)
+        n_elite = max(1, int(round(cfg.elite_fraction * n)))
         elite_idx = np.argsort(fit)[::-1][:n_elite]
-        children = [pop[i].copy() for i in elite_idx]
-        while len(children) < len(pop):
-            a = self._select_parent(rng, pop, fit)
+        rows: list[list[int]] = pop.tolist()
+        fits: list[float] = fit.tolist()
+        k = pop.shape[1]
+        ts, step = cfg.tournament_size, cfg.mutation_step
+
+        def select() -> list[int]:
+            # Tournament selection (robust to the fitness's negative
+            # range); ties go to the first contender, as np.argmax.
+            best = -1
+            for i in rng.integers(0, n, size=ts).tolist():
+                if best < 0 or fits[i] > fits[best]:
+                    best = i
+            return rows[best]
+
+        children = [rows[i] for i in elite_idx]
+        while len(children) < n:
+            child = select()
             if rng.random() < cfg.crossover_prob:
-                b = self._select_parent(rng, pop, fit)
-                child = self._crossover(rng, a, b, n_ops)
-            else:
-                child = a.copy()
-            children.append(self._mutate(rng, child, n_ops))
-        return np.vstack(children)
+                b = select()
+                if k == 1:
+                    child = child if rng.random() < 0.5 else b
+                else:
+                    point = int(rng.integers(1, k))
+                    child = _repair_cuts(rng, child[:point] + b[point:], n_ops)
+            # Mutation: perturb each gene with probability mutation_prob.
+            mask = [u < cfg.mutation_prob for u in rng.random(k).tolist()]
+            if any(mask):
+                steps = rng.integers(-step, step + 1, k).tolist()
+                child = _repair_cuts(
+                    rng,
+                    [v + d if m else v for v, d, m in zip(child, steps, mask)],
+                    n_ops,
+                )
+            children.append(child)
+        return np.array(children, dtype=np.int64)

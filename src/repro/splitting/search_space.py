@@ -92,23 +92,28 @@ def sample_cuts_observation_guided(
 def _repair_row(
     rng: np.random.Generator, row: np.ndarray, n_ops: int
 ) -> np.ndarray:
-    """Make a sorted row strictly increasing within [0, n_ops - 2].
+    """Array form of :func:`_repair_cuts`."""
+    return np.asarray(_repair_cuts(rng, row.tolist(), n_ops), dtype=np.int64)
+
+
+def _repair_cuts(rng: np.random.Generator, row: list[int], n_ops: int) -> list[int]:
+    """Make a row strictly increasing within [0, n_ops - 2], sorted.
 
     Duplicate cut positions (common after searchsorted or crossover) are
     resampled from the unused positions.
     """
-    row = np.sort(np.clip(row, 0, n_ops - 2))
-    k = len(row)
-    if len(np.unique(row)) == k:
+    hi = n_ops - 2
+    row = sorted(min(max(v, 0), hi) for v in row)
+    used = set(row)
+    if len(used) == len(row):
         return row
-    used = set(np.unique(row).tolist())
-    free = [p for p in range(n_ops - 1) if p not in used]
+    free = [p for p in range(hi + 1) if p not in used]
     rng.shuffle(free)
     seen: set[int] = set()
     fixed = []
-    for v in row.tolist():
+    for v in row:
         if v in seen:
             v = free.pop()
         seen.add(v)
         fixed.append(v)
-    return np.sort(np.asarray(fixed, dtype=np.int64))
+    return sorted(fixed)
